@@ -66,8 +66,8 @@ impl Dense {
     /// Forward pass into a reused output buffer via the branchless
     /// batched kernel [`Matrix::matmul_into`]. Allocation-free once
     /// `out` is warm, and bit-identical to [`Dense::forward`] row for
-    /// row (finite weights — the training and quantization paths never
-    /// produce anything else).
+    /// row (finite weights — training never produces anything else and
+    /// the model reader rejects anything else).
     pub fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(x.cols(), self.fan_in());
         x.matmul_into(&self.w, out);

@@ -146,11 +146,9 @@ fn main() {
     }
     session.finish();
 
-    let engine = if flash_sim::backend::io_uring_available() {
-        "io_uring"
-    } else {
-        "pread"
-    };
+    // The file backend's only engine; kept in the output so captures
+    // name how their measured time was taken.
+    let engine = "pread";
     if common.json {
         let mut rows = String::new();
         for t in 0..4 {

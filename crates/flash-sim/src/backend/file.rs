@@ -1,13 +1,13 @@
 //! Real-I/O replay: executes the trace against a file or raw device.
 //!
 //! Where [`super::SimBackend`] owns *modeled* time, this backend owns
-//! *measured* time: every read/write page command is issued as actual
-//! I/O (io_uring where the kernel provides it, `pread`/`pwrite`
-//! otherwise) and completions are stamped with wall-clock nanoseconds
-//! from a run-local [`Instant`]. The probe hook stream has the same
-//! shape as the simulator's — `CmdIssue` → `BusAcquire` → `BusRelease`
-//! → `CmdComplete` per page — so `MetricsProbe`, SSDP captures, and
-//! `ssdtrace summarize/diff` consume measured runs unchanged.
+//! *measured* time: every read/write page command is issued as one
+//! `pread`/`pwrite` and its completion is stamped with wall-clock
+//! nanoseconds from a run-local [`Instant`]. The probe hook stream has
+//! the same shape as the simulator's — `CmdIssue` → `BusAcquire` →
+//! `BusRelease` → `CmdComplete` per page — so `MetricsProbe`, SSDP
+//! captures, and `ssdtrace summarize/diff` consume measured runs
+//! unchanged.
 //!
 //! Address mapping: each tenant owns a contiguous byte span of the
 //! target sized `lpn_space × page_size`; LPNs wrap into the span the
@@ -20,15 +20,15 @@
 //! Replay is closed-loop and as-fast-as-possible: trace arrival times
 //! order requests and trigger reallocations but do not pace the I/O.
 //! Latencies are therefore pure service times, which is what a
-//! simulated-vs-measured distribution diff wants to compare.
+//! simulated-vs-measured distribution diff wants to compare. Pages are
+//! issued one at a time (queue depth 1), so each command's latency is
+//! exactly one syscall's service time.
 
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
-use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use super::uring::{self, Uring};
 use super::Backend;
 use crate::config::SsdConfig;
 use crate::event::CmdId;
@@ -41,56 +41,6 @@ use crate::sim::{validate_reallocation, validate_trace, Reallocation, SimError};
 use crate::stats::{LatencyBreakdown, LatencyStats, SimReport, TenantReport};
 use crate::tenant::{ChannelSet, TenantLayout};
 
-/// Pages issued per io_uring batch (and ring size). One request's pages
-/// are batched together up to this depth, mirroring the simulator's
-/// page-parallel fan-out of a request.
-const BATCH: u32 = 64;
-
-/// Buffer alignment: covers `O_DIRECT`'s logical-block requirement on
-/// every common device (and is harmless for buffered I/O).
-const ALIGN: usize = 4096;
-
-/// Which syscall engine executes the page commands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineChoice {
-    /// io_uring when available, `pread`/`pwrite` otherwise.
-    Auto,
-    /// io_uring or fail.
-    Uring,
-    /// `pread`/`pwrite` always.
-    Pread,
-}
-
-/// A page-aligned, heap-allocated I/O buffer (`O_DIRECT`-compatible).
-struct AlignedBuf {
-    ptr: *mut u8,
-    layout: std::alloc::Layout,
-}
-
-impl AlignedBuf {
-    fn new(len: usize) -> Self {
-        let layout = std::alloc::Layout::from_size_align(len.max(ALIGN), ALIGN)
-            .expect("page size fits an aligned layout");
-        let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "aligned I/O buffer allocation failed");
-        Self { ptr, layout }
-    }
-
-    fn as_mut_ptr(&mut self) -> *mut u8 {
-        self.ptr
-    }
-
-    fn as_mut_slice(&mut self, len: usize) -> &mut [u8] {
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, len.min(self.layout.size())) }
-    }
-}
-
-impl Drop for AlignedBuf {
-    fn drop(&mut self) {
-        unsafe { std::alloc::dealloc(self.ptr, self.layout) };
-    }
-}
-
 /// The real-I/O backend. Construct via
 /// [`crate::SimBuilder::build_backend`] with
 /// [`super::BackendKind::File`].
@@ -100,33 +50,17 @@ pub struct FileBackend {
     layout: TenantLayout,
     path: PathBuf,
     reallocs: Vec<Reallocation>,
-    engine: EngineChoice,
 }
 
 impl FileBackend {
-    /// Validates the config and resolves the syscall engine.
-    ///
-    /// `SSDKEEPER_REPLAY_ENGINE=uring|pread` forces an engine; the
-    /// default probes io_uring once and falls back to `pread`/`pwrite`.
-    /// Preconditioning fills and command-slot limits from the builder do
-    /// not apply to real I/O and are ignored.
+    /// Validates the config. Preconditioning fills and command-slot
+    /// limits from the builder do not apply to real I/O and are ignored.
     pub(crate) fn new(
         cfg: SsdConfig,
         layout: TenantLayout,
         path: PathBuf,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
-        let engine = match std::env::var("SSDKEEPER_REPLAY_ENGINE").as_deref() {
-            Ok("uring") => EngineChoice::Uring,
-            Ok("pread") => EngineChoice::Pread,
-            Ok(other) => {
-                return Err(SimError::Io {
-                    op: "engine selection",
-                    reason: format!("unknown SSDKEEPER_REPLAY_ENGINE value `{other}`"),
-                })
-            }
-            Err(_) => EngineChoice::Auto,
-        };
         let geo = Geometry::new(&cfg);
         Ok(Self {
             cfg,
@@ -134,7 +68,6 @@ impl FileBackend {
             layout,
             path,
             reallocs: Vec::new(),
-            engine,
         })
     }
 
@@ -145,34 +78,9 @@ impl FileBackend {
     }
 }
 
-/// Per-page issue bookkeeping for one in-flight batch.
-#[derive(Clone, Copy)]
-struct PageIssue {
-    issue_ns: u64,
-    unit: u32,
-    channel: u16,
-    cmd: CmdId,
-    class: CmdClass,
-    tenant: u16,
-}
-
 impl Backend for FileBackend {
     fn name(&self) -> &'static str {
         "file"
-    }
-
-    fn engine(&self) -> &'static str {
-        match self.engine {
-            EngineChoice::Auto => {
-                if uring::available() {
-                    "io_uring"
-                } else {
-                    "pread"
-                }
-            }
-            EngineChoice::Uring => "io_uring",
-            EngineChoice::Pread => "pread",
-        }
     }
 
     fn schedule_reallocation(&mut self, realloc: Reallocation) -> Result<(), SimError> {
@@ -218,16 +126,7 @@ impl Backend for FileBackend {
             file.set_len(total).map_err(|e| io_err("set_len", e))?;
         }
 
-        let mut ring = match self.engine {
-            EngineChoice::Pread => None,
-            EngineChoice::Uring => Some(Uring::new(BATCH).map_err(|reason| SimError::Io {
-                op: "io_uring setup",
-                reason,
-            })?),
-            EngineChoice::Auto => Uring::new(BATCH).ok(),
-        };
-        let batch_cap = ring.as_ref().map_or(1, |r| r.entries() as usize);
-        let mut bufs: Vec<AlignedBuf> = (0..batch_cap).map(|_| AlignedBuf::new(page)).collect();
+        let mut buf = vec![0u8; page];
 
         let clock = Instant::now();
         let now_ns = |c: &Instant| c.elapsed().as_nanos() as u64;
@@ -243,7 +142,6 @@ impl Backend for FileBackend {
         let mut commands: u64 = 0;
         let mut next_cmd: u64 = 0;
         let mut next_realloc = 0usize;
-        let mut batch: Vec<PageIssue> = Vec::with_capacity(batch_cap);
 
         for req in trace {
             // Reallocations keyed to trace time re-shape attribution the
@@ -288,139 +186,78 @@ impl Backend for FileBackend {
             let req_start = now_ns(&clock);
             let mut req_done = req_start;
 
-            let mut pages = req.pages().peekable();
-            while pages.peek().is_some() {
-                batch.clear();
-                // Issue one batch of page commands.
-                for (slot, lpn) in pages.by_ref().take(batch_cap).enumerate() {
-                    let lpn = lpn % space;
-                    let offset = self.offset_of(&bases, t, lpn);
-                    let plane = static_plane(&self.geo, state, lpn);
-                    let unit = if self.cfg.plane_parallelism {
-                        plane as u32
-                    } else {
-                        self.geo.die_of_plane(plane) as u32
-                    };
-                    let channel = self.geo.channel_of_plane(plane) as u16;
-                    let cmd = next_cmd as CmdId;
-                    next_cmd = next_cmd.wrapping_add(1);
-                    let issue_ns = now_ns(&clock);
-                    probe.on_cmd_issue(&CmdIssue {
-                        at_ns: issue_ns,
-                        cmd,
-                        tenant: req.tenant,
-                        class,
-                        gc: false,
-                        unit,
-                        channel,
-                        queue_depth: (slot + 1) as u32,
-                    });
-                    probe.on_bus_acquire(&BusAcquire {
-                        at_ns: issue_ns,
-                        cmd,
-                        channel,
-                        waited_ns: 0,
-                    });
-                    batch.push(PageIssue {
-                        issue_ns,
-                        unit,
-                        channel,
-                        cmd,
-                        class,
-                        tenant: req.tenant,
-                    });
+            for lpn in req.pages() {
+                let lpn = lpn % space;
+                let offset = self.offset_of(&bases, t, lpn);
+                let plane = static_plane(&self.geo, state, lpn);
+                let unit = if self.cfg.plane_parallelism {
+                    plane as u32
+                } else {
+                    self.geo.die_of_plane(plane) as u32
+                };
+                let channel = self.geo.channel_of_plane(plane) as u16;
+                let cmd = next_cmd as CmdId;
+                next_cmd = next_cmd.wrapping_add(1);
+                let issue_ns = now_ns(&clock);
+                probe.on_cmd_issue(&CmdIssue {
+                    at_ns: issue_ns,
+                    cmd,
+                    tenant: req.tenant,
+                    class,
+                    gc: false,
+                    unit,
+                    channel,
+                    queue_depth: 1,
+                });
+                probe.on_bus_acquire(&BusAcquire {
+                    at_ns: issue_ns,
+                    cmd,
+                    channel,
+                    waited_ns: 0,
+                });
 
-                    let buf = &mut bufs[slot];
-                    if req.op == Op::Write {
+                match req.op {
+                    Op::Read => file
+                        .read_exact_at(&mut buf, offset)
+                        .map_err(|e| io_err("read", e))?,
+                    Op::Write => {
                         // Deterministic page image so replays are
                         // reproducible and reads have known content.
-                        let tag = (lpn as u8) ^ (req.tenant as u8).wrapping_mul(31);
-                        buf.as_mut_slice(page).fill(tag);
-                    }
-                    match (&mut ring, req.op) {
-                        (Some(r), op) => {
-                            let opcode = if op == Op::Read {
-                                uring::OP_READ
-                            } else {
-                                uring::OP_WRITE
-                            };
-                            let pushed = r.push(
-                                opcode,
-                                file.as_raw_fd(),
-                                buf.as_mut_ptr(),
-                                page as u32,
-                                offset,
-                                slot as u64,
-                            );
-                            debug_assert!(pushed, "batch never exceeds ring entries");
-                        }
-                        (None, Op::Read) => {
-                            file.read_exact_at(buf.as_mut_slice(page), offset)
-                                .map_err(|e| io_err("read", e))?;
-                        }
-                        (None, Op::Write) => {
-                            file.write_all_at(buf.as_mut_slice(page), offset)
-                                .map_err(|e| io_err("write", e))?;
-                        }
+                        buf.fill((lpn as u8) ^ (req.tenant as u8).wrapping_mul(31));
+                        file.write_all_at(&buf, offset)
+                            .map_err(|e| io_err("write", e))?;
                     }
                 }
 
-                // Reap the batch. pread/pwrite completed inline above.
-                if let Some(r) = &mut ring {
-                    let mut pending = batch.len() as u32;
-                    r.submit_and_wait(pending).map_err(|reason| SimError::Io {
-                        op: "io_uring submit",
-                        reason,
-                    })?;
-                    while pending > 0 {
-                        match r.pop() {
-                            Some((_slot, res)) if res == page as i32 => pending -= 1,
-                            Some((slot, res)) => {
-                                return Err(SimError::Io {
-                                    op: "io_uring completion",
-                                    reason: format!("page {slot} returned {res} (expected {page})"),
-                                });
-                            }
-                            None => {
-                                r.submit_and_wait(pending).map_err(|reason| SimError::Io {
-                                    op: "io_uring wait",
-                                    reason,
-                                })?;
-                            }
-                        }
-                    }
-                }
                 let done_ns = now_ns(&clock);
-                req_done = req_done.max(done_ns);
-                for p in &batch {
-                    let latency = done_ns.saturating_sub(p.issue_ns);
-                    probe.on_bus_release(&BusRelease {
-                        at_ns: done_ns,
-                        cmd: p.cmd,
-                        channel: p.channel,
-                        held_ns: latency,
-                    });
-                    probe.on_cmd_complete(&CmdComplete {
-                        at_ns: done_ns,
-                        cmd: p.cmd,
-                        tenant: p.tenant,
-                        class: p.class,
-                        gc: false,
-                        unit: p.unit,
-                        channel: p.channel,
-                        latency_ns: latency,
-                    });
-                    bus_busy_ns[p.channel as usize] += latency;
-                    phases.transfer.record(latency);
-                    phases.queue_depth.record(batch.len() as u64);
-                    let breakdown = match p.class {
-                        CmdClass::Read => &mut read_breakdown,
-                        CmdClass::Write => &mut write_breakdown,
-                    };
-                    breakdown.transfer_ns += latency;
-                    breakdown.cmds += 1;
-                    commands += 1;
-                }
+                req_done = done_ns;
+                let latency = done_ns.saturating_sub(issue_ns);
+                probe.on_bus_release(&BusRelease {
+                    at_ns: done_ns,
+                    cmd,
+                    channel,
+                    held_ns: latency,
+                });
+                probe.on_cmd_complete(&CmdComplete {
+                    at_ns: done_ns,
+                    cmd,
+                    tenant: req.tenant,
+                    class,
+                    gc: false,
+                    unit,
+                    channel,
+                    latency_ns: latency,
+                });
+                bus_busy_ns[channel as usize] += latency;
+                phases.transfer.record(latency);
+                phases.queue_depth.record(1);
+                let breakdown = match class {
+                    CmdClass::Read => &mut read_breakdown,
+                    CmdClass::Write => &mut write_breakdown,
+                };
+                breakdown.transfer_ns += latency;
+                breakdown.cmds += 1;
+                commands += 1;
             }
 
             let req_latency = req_done.saturating_sub(req_start);

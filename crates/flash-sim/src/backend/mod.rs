@@ -19,10 +19,8 @@
 //! keeper act as a policy engine over interchangeable execution layers.
 
 mod file;
-pub(crate) mod uring;
 
 pub use file::FileBackend;
-pub use uring::available as io_uring_available;
 
 use std::path::PathBuf;
 
@@ -40,9 +38,6 @@ use crate::{SsdConfig, TenantLayout};
 pub trait Backend {
     /// Stable backend identifier (`"sim"` or `"file"`).
     fn name(&self) -> &'static str;
-
-    /// The timing engine in effect (`"sim"`, `"io_uring"`, `"pread"`).
-    fn engine(&self) -> &'static str;
 
     /// Schedules a channel/policy re-allocation, validated eagerly with
     /// the same rules as [`crate::Simulator::schedule_reallocation`]
@@ -153,10 +148,6 @@ impl SimBackend {
 
 impl Backend for SimBackend {
     fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn engine(&self) -> &'static str {
         "sim"
     }
 

@@ -39,6 +39,7 @@
 //! let report = sim.run(&trace).unwrap();
 //! assert_eq!(report.total.count, 2);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

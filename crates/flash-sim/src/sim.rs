@@ -1283,14 +1283,6 @@ impl<P: Probe> Simulator<P> {
         Ok(())
     }
 
-    /// Caps the command arena at `limit` slots (test hook for exercising
-    /// [`SimError::CmdIdsExhausted`] without 2^32 live commands).
-    #[doc(hidden)]
-    #[deprecated(note = "use SimBuilder::cmd_slot_limit")]
-    pub fn limit_cmd_slots(&mut self, limit: u32) {
-        self.cmds.slot_limit = limit;
-    }
-
     /// If the unit is idle, pops its next command and starts its first
     /// unit-holding phase.
     #[inline]

@@ -4,18 +4,12 @@
 //! "skipped", still passing) where the environment can't run them, so
 //! `cargo test -q` stays hermetic in CI containers.
 
-use flash_sim::backend::io_uring_available;
 use flash_sim::probe::ProbeEvent;
 use flash_sim::{
     BackendKind, EventRecorder, IoRequest, NullProbe, Op, Reallocation, SimBuilder, SimError,
     Simulator, SsdConfig, TenantLayout,
 };
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// Serializes the tests that set `SSDKEEPER_REPLAY_ENGINE`; the var is
-/// process-global and the harness runs tests on parallel threads.
-static ENGINE_ENV: Mutex<()> = Mutex::new(());
 
 fn small_cfg() -> SsdConfig {
     let mut cfg = SsdConfig::small_test();
@@ -77,7 +71,6 @@ fn sim_backend_is_bit_identical_to_direct_simulator() {
         .build_backend(&BackendKind::Sim)
         .unwrap();
     assert_eq!(be.name(), "sim");
-    assert_eq!(be.engine(), "sim");
     be.schedule_reallocation(realloc_at(50_000)).unwrap();
     let via_backend = be.run(&trace, &mut be_rec).unwrap();
 
@@ -177,12 +170,10 @@ fn file_backend_round_trips_against_a_tmpfile() {
     assert_eq!(dropped, 0);
 }
 
-/// The pread/pwrite fallback is always available; forcing it must work
-/// on every kernel.
+/// The `pread`/`pwrite` engine needs nothing beyond POSIX file I/O, so
+/// it must work on every kernel.
 #[test]
 fn file_backend_pread_engine_works() {
-    let _guard = ENGINE_ENV.lock().unwrap();
-    std::env::set_var("SSDKEEPER_REPLAY_ENGINE", "pread");
     let target = tmp_target("pread");
     let cfg = small_cfg();
     let layout = two_tenant_layout(&cfg);
@@ -191,34 +182,7 @@ fn file_backend_pread_engine_works() {
             path: target.clone(),
         })
         .unwrap();
-    assert_eq!(be.engine(), "pread");
     let report = be.run(&mixed_trace(), &mut NullProbe).unwrap();
-    std::env::remove_var("SSDKEEPER_REPLAY_ENGINE");
-    let _ = std::fs::remove_file(&target);
-    assert_eq!(report.total.count as usize, mixed_trace().len());
-}
-
-/// io_uring-specific path; skips cleanly where the kernel or container
-/// does not provide io_uring.
-#[test]
-fn file_backend_uring_engine_when_available() {
-    if !io_uring_available() {
-        eprintln!("skipped: io_uring unavailable in this environment");
-        return;
-    }
-    let _guard = ENGINE_ENV.lock().unwrap();
-    std::env::set_var("SSDKEEPER_REPLAY_ENGINE", "uring");
-    let target = tmp_target("uring");
-    let cfg = small_cfg();
-    let layout = two_tenant_layout(&cfg);
-    let be = SimBuilder::new(cfg, layout)
-        .build_backend(&BackendKind::File {
-            path: target.clone(),
-        })
-        .unwrap();
-    assert_eq!(be.engine(), "io_uring");
-    let report = be.run(&mixed_trace(), &mut NullProbe).unwrap();
-    std::env::remove_var("SSDKEEPER_REPLAY_ENGINE");
     let _ = std::fs::remove_file(&target);
     assert_eq!(report.total.count as usize, mixed_trace().len());
 }

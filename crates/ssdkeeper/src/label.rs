@@ -118,6 +118,34 @@ pub fn run_under_strategy_with(
         .run_reclaim(trace, arena)
 }
 
+/// The tenants' read/write characteristics over the whole trace, exactly
+/// as the offline label generator would observe them.
+fn observed_rw_chars(trace: &[IoRequest], tenants: usize) -> Vec<u8> {
+    let obs = ObservedFeatures::collect(trace, tenants, u64::MAX);
+    (0..tenants).map(|t| obs.rw_characteristic(t)).collect()
+}
+
+/// One strategy's row: runs it out of `arena`, scores the report, and
+/// hands the report's buffers back to the arena.
+fn evaluate_one(
+    trace: &[IoRequest],
+    strategy: Strategy,
+    rw_chars: &[u8],
+    lpn_spaces: &[u64],
+    eval: &EvalConfig,
+    arena: &mut SimArena,
+) -> Result<StrategyEval, SimError> {
+    let report = run_under_strategy_with(trace, strategy, rw_chars, lpn_spaces, eval, arena)?;
+    let row = StrategyEval {
+        strategy,
+        read_us: report.read.mean_us(),
+        write_us: report.write.mean_us(),
+        metric_us: report.total_latency_metric_us(),
+    };
+    arena.recycle_report(report);
+    Ok(row)
+}
+
 /// Evaluates every strategy in the `tenants`-tenant space on `trace`.
 ///
 /// The tenants' read/write characteristics are taken from the whole
@@ -128,8 +156,7 @@ pub fn evaluate_all(
     lpn_spaces: &[u64],
     eval: &EvalConfig,
 ) -> Result<Vec<StrategyEval>, SimError> {
-    let obs = ObservedFeatures::collect(trace, tenants, u64::MAX);
-    let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
+    let rw_chars = observed_rw_chars(trace, tenants);
     let strategies = Strategy::all_for_tenants(tenants);
 
     // One arena per pool worker: each worker recycles a single simulator
@@ -139,20 +166,7 @@ pub fn evaluate_all(
         &eval.pool,
         &strategies,
         SimArena::new,
-        |arena, _, &strategy| {
-            run_under_strategy_with(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(
-                |report| {
-                    let row = StrategyEval {
-                        strategy,
-                        read_us: report.read.mean_us(),
-                        write_us: report.write.mean_us(),
-                        metric_us: report.total_latency_metric_us(),
-                    };
-                    arena.recycle_report(report);
-                    row
-                },
-            )
-        },
+        |arena, _, &strategy| evaluate_one(trace, strategy, &rw_chars, lpn_spaces, eval, arena),
     );
     results.into_iter().collect()
 }
@@ -173,26 +187,10 @@ pub fn evaluate_all_with(
     if eval.pool.worker_count() > 1 {
         return evaluate_all(trace, tenants, lpn_spaces, eval);
     }
-    let obs = ObservedFeatures::collect(trace, tenants, u64::MAX);
-    let rw_chars: Vec<u8> = (0..tenants).map(|t| obs.rw_characteristic(t)).collect();
-    let strategies = Strategy::all_for_tenants(tenants);
-
-    strategies
-        .iter()
-        .map(|&strategy| {
-            run_under_strategy_with(trace, strategy, &rw_chars, lpn_spaces, eval, arena).map(
-                |report| {
-                    let row = StrategyEval {
-                        strategy,
-                        read_us: report.read.mean_us(),
-                        write_us: report.write.mean_us(),
-                        metric_us: report.total_latency_metric_us(),
-                    };
-                    arena.recycle_report(report);
-                    row
-                },
-            )
-        })
+    let rw_chars = observed_rw_chars(trace, tenants);
+    Strategy::all_for_tenants(tenants)
+        .into_iter()
+        .map(|strategy| evaluate_one(trace, strategy, &rw_chars, lpn_spaces, eval, arena))
         .collect()
 }
 

@@ -5,10 +5,8 @@
 //!    bounded `EventRecorder` attached.
 //! 2. The recorder's ring buffer drops oldest-first with a monotone drop
 //!    counter, and the persisted SSDP codec round-trips what remains.
-//! 3. The deprecated keeper entry points and the unified
-//!    `Keeper::run(RunSpec)` produce identical outcomes on a seeded
-//!    fig2-style workload (this file is allowlisted for the deprecated
-//!    calls in `scripts/verify.sh`).
+//! 3. Every `Keeper::run(RunSpec)` mode (fixed, adapt-once, periodic)
+//!    holds its contract on a seeded fig2-style workload.
 
 use ssdkeeper_repro::flash_sim::probe::decode_events;
 use ssdkeeper_repro::flash_sim::{
