@@ -611,6 +611,11 @@ impl<P: Probe> SimBuilder<P> {
 /// unchanged (a changed shape transparently rebuilds what no longer
 /// fits). Reports can be recycled too via [`SimArena::recycle_report`].
 ///
+/// A warm build costs time linear in the device's blocks, not its pages:
+/// the FTL reset rewrites each block's write pointer, valid and erase
+/// counts, validity-bitset words and free-list slot, and leaves the
+/// per-page owner words alone (see `Ftl::reset`).
+///
 /// Reuse never changes results: a simulator built from a used arena is
 /// observationally identical to a fresh one — same report, same probe
 /// stream, byte for byte.
@@ -769,6 +774,7 @@ impl<P: Probe> Simulator<P> {
         probe: P,
         arena: &mut SimArena,
     ) -> Result<Self, SimError> {
+        obs::span!("sim_build");
         cfg.validate()?;
         // Reuse the previous run's geometry when the dimensions match, so
         // the warm path skips rebuilding its coordinate tables.
