@@ -44,6 +44,11 @@
 //! and median of each, so build/reset cost and event-loop cost are read
 //! separately.
 //!
+//! `label_sweep` times Algorithm 1's whole unit: the same sample labelled
+//! through `Learner::label_workload_with` (every strategy scored, by
+//! component composition) on a warm arena at one worker, recording `n`,
+//! min and median of the sweep.
+//!
 //! `SSDKEEPER_BENCH_PROBE=1` additionally measures `sim_micro` with a
 //! bounded [`flash_sim::EventRecorder`] attached and prints the probe
 //! overhead relative to the `NullProbe` run — the number the probe
@@ -443,6 +448,34 @@ fn measure_label_sim(iters: usize, warmup: usize) -> LabelSimResult {
     result
 }
 
+/// The `label_sweep` row: one labelling sample (seed 1) swept through
+/// `Learner::label_workload_with` on one warm arena at one worker.
+fn measure_label_sweep(iters: usize, warmup: usize) -> Spread {
+    let mut spec = DatasetSpec::quick(1);
+    spec.requests_per_sample = LABEL_REQUESTS;
+    spec.eval.pool = parallel::PoolConfig::with_workers(1);
+    let learner = Learner::new(spec);
+    let (trace, _) = learner.sample_mixed_workload(&mut SimRng::seed_from_u64(1));
+
+    // A sweep is tens of milliseconds; three per requested iteration.
+    let n = iters * 3;
+    let mut arena = SimArena::new();
+    let mut sweeps = Vec::with_capacity(n);
+    for i in 0..warmup.max(1) + n {
+        let start = Instant::now();
+        black_box(learner.label_workload_with(&trace, &mut arena));
+        if i >= warmup.max(1) {
+            sweeps.push(start.elapsed().as_nanos() as u64);
+        }
+    }
+    let sweep = Spread::of(sweeps);
+    println!(
+        "sim_throughput/{:<16} n={} min={}ns median={}ns",
+        "label_sweep", sweep.n, sweep.min_ns, sweep.median_ns,
+    );
+    sweep
+}
+
 fn main() {
     if obs::ENABLED {
         eprintln!(
@@ -462,6 +495,7 @@ fn main() {
     let rerun_workload = warm_rerun_workload();
     let rerun = measure_warm_rerun(&rerun_workload, iters, warmup);
     let label = measure_label_sim(iters, warmup);
+    let sweep = measure_label_sweep(iters, warmup);
     if std::env::var("SSDKEEPER_BENCH_STRICT").map_or(false, |v| v != "0") {
         assert!(
             rerun.speedup >= 1.3,
@@ -495,7 +529,15 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("SSDKEEPER_BENCH_JSON") {
-        write_json(&path, &workloads, &results, &rerun_workload, &rerun, &label);
+        write_json(
+            &path,
+            &workloads,
+            &results,
+            &rerun_workload,
+            &rerun,
+            &label,
+            &sweep,
+        );
     }
 }
 
@@ -509,6 +551,33 @@ fn stored_baseline(existing: &str, workload: &str) -> Option<(u64, u64, f64)> {
     ))
 }
 
+/// A row's `baseline` values under `keys` from the existing report, or
+/// `now` when any is missing (the first recorded run becomes the
+/// baseline).
+fn stored_or<const N: usize>(
+    existing: &str,
+    row: &str,
+    keys: [&str; N],
+    now: [u64; N],
+) -> [u64; N] {
+    let stored = keys.map(|k| report::baseline_number(existing, row, k).map(|v| v as u64));
+    if stored.iter().all(Option::is_some) {
+        stored.map(|v| v.expect("checked above"))
+    } else {
+        now
+    }
+}
+
+/// `{ "key": value, ... }` for one row's spread fields.
+fn fields(keys: &[&str], values: &[u64]) -> String {
+    let pairs: Vec<String> = keys
+        .iter()
+        .zip(values)
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{ {} }}", pairs.join(", "))
+}
+
 fn write_json(
     path: &str,
     workloads: &[Workload],
@@ -516,6 +585,7 @@ fn write_json(
     rerun_workload: &Workload,
     rerun: &RerunResult,
     label: &LabelSimResult,
+    sweep: &Spread,
 ) {
     // Keep each workload's recorded baseline when the file already has
     // one, so speedups are always measured against the first committed
@@ -596,14 +666,6 @@ fn write_json(
         "run_min_ns",
         "run_median_ns",
     ];
-    let object = |values: [u64; 5]| {
-        let fields: Vec<String> = LABEL_KEYS
-            .iter()
-            .zip(values)
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{ {} }}", fields.join(", "))
-    };
     let now = [
         label.build.n as u64,
         label.build.min_ns,
@@ -611,23 +673,33 @@ fn write_json(
         label.run.min_ns,
         label.run.median_ns,
     ];
-    let base = match LABEL_KEYS
-        .map(|k| report::baseline_number(&existing, "label_sim", k).map(|v| v as u64))
-    {
-        [Some(n), Some(bmin), Some(bmed), Some(rmin), Some(rmed)] => [n, bmin, bmed, rmin, rmed],
-        _ => now,
-    };
+    let base = stored_or(&existing, "label_sim", LABEL_KEYS, now);
     let speedup = base[2] as f64 / now[2].max(1) as f64;
-    let (baseline, current) = (object(base), object(now));
+    let (baseline, current) = (fields(&LABEL_KEYS, &base), fields(&LABEL_KEYS, &now));
     let _ = write!(
         body,
         "    \"label_sim\": {{\n      \"requests\": {LABEL_REQUESTS},\n      \
          \"geometry\": \"8ch x 2chip x 1die x 4plane, 256 blocks x 128 pages \
          (scaled_for_sweeps), Shared\",\n      \
          \"baseline\": {baseline},\n      \"current\": {current},\n      \
-         \"speedup_build_vs_baseline\": {speedup:.3}\n    }}\n"
+         \"speedup_build_vs_baseline\": {speedup:.3}\n    }},\n"
     );
     println!("sim_throughput: label_sim build speedup vs baseline: {speedup:.3}x");
+    // Whole-sweep row, baseline kept the same way.
+    const SWEEP_KEYS: [&str; 3] = ["n", "min_ns", "median_ns"];
+    let now = [sweep.n as u64, sweep.min_ns, sweep.median_ns];
+    let base = stored_or(&existing, "label_sweep", SWEEP_KEYS, now);
+    let speedup = base[2] as f64 / now[2].max(1) as f64;
+    let (baseline, current) = (fields(&SWEEP_KEYS, &base), fields(&SWEEP_KEYS, &now));
+    let _ = write!(
+        body,
+        "    \"label_sweep\": {{\n      \"requests\": {LABEL_REQUESTS},\n      \
+         \"geometry\": \"8ch x 2chip x 1die x 4plane, 256 blocks x 128 pages \
+         (scaled_for_sweeps), all 42 strategies, 1 worker\",\n      \
+         \"baseline\": {baseline},\n      \"current\": {current},\n      \
+         \"speedup_vs_baseline\": {speedup:.3}\n    }}\n"
+    );
+    println!("sim_throughput: label_sweep speedup vs baseline: {speedup:.3}x");
     body.push_str("  }\n}\n");
     std::fs::write(path, body).expect("write BENCH json");
     println!("sim_throughput: wrote {path}");

@@ -1,15 +1,39 @@
 //! Label generation (Algorithm 1, lines 3–8).
 //!
-//! For a mixed workload, run the simulator once per strategy in the space
-//! and select the strategy with the lowest total response latency (mean
-//! read + mean write, the §III-B metric) as the training label. The
-//! per-strategy runs are independent, so they fan out over
-//! [`parallel::par_map`].
+//! For a mixed workload, score every strategy in the space by its total
+//! response latency (mean read + mean write, the §III-B metric) and select
+//! the lowest as the training label.
+//!
+//! # Component composition
+//!
+//! A strategy splits the tenants into *channel components*: tenants whose
+//! channel sets intersect, joined transitively. Two components share no
+//! channel, hence no bus, die, plane, GC or wear state, and every host
+//! queue belongs to one tenant. A component's requests therefore see the
+//! same latencies on their own as in the full run, and a strategy's
+//! read/write [`LatencyStats`] are the exact (integer) merge of its
+//! components' stats.
+//!
+//! The sweep simulates each component on its tenants' requests, filtered
+//! from the trace, under the strategy's full [`TenantLayout`]. Components
+//! repeat across strategies (one tenant alone on three channels appears in
+//! many four-part splits), so each is keyed by its tenant set plus every
+//! member's channel list shifted down by the component's lowest channel,
+//! and each distinct key is simulated once: the device is
+//! channel-homogeneous, and static striping and the dynamic allocator's
+//! tie-breaks depend only on positions within a tenant's list. Distinct
+//! sub-runs fan out over [`parallel::par_map_init`] when the pool has more
+//! than one worker. DESIGN.md §6d gives the full argument, and
+//! `tests/label_components.rs` checks it bit for bit against full runs.
 
 use crate::hybrid;
 use crate::strategy::Strategy;
-use flash_sim::{IoRequest, SimArena, SimBuilder, SimError, SimReport, SsdConfig, TenantLayout};
+use flash_sim::{
+    IoRequest, LatencyStats, SimArena, SimBuilder, SimError, SimReport, SsdConfig, TenantLayout,
+};
 use parallel::PoolConfig;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use workloads::ObservedFeatures;
 
 /// Domain tag for per-sample RNG seeding in the parallel label farm
@@ -26,7 +50,7 @@ pub struct EvalConfig {
     pub ssd: SsdConfig,
     /// Whether the hybrid page allocator is active.
     pub hybrid: bool,
-    /// Thread pool for fanning strategies out.
+    /// Thread pool for fanning a sweep's simulations out.
     pub pool: PoolConfig,
 }
 
@@ -65,40 +89,14 @@ pub struct StrategyEval {
     pub metric_us: f64,
 }
 
-/// Runs `trace` on a device partitioned by `strategy`.
-///
-/// `rw_chars` are the tenants' observed characteristics (for two-part
-/// grouping and the hybrid allocator); `lpn_spaces` bound each tenant's
-/// logical footprint.
-pub fn run_under_strategy(
-    trace: &[IoRequest],
+/// The device layout `strategy` gives the tenants: their channel lists,
+/// logical spaces and (under `eval.hybrid`) page-allocation policies.
+fn strategy_layout(
     strategy: Strategy,
     rw_chars: &[u8],
     lpn_spaces: &[u64],
     eval: &EvalConfig,
-) -> Result<SimReport, SimError> {
-    run_under_strategy_with(
-        trace,
-        strategy,
-        rw_chars,
-        lpn_spaces,
-        eval,
-        &mut SimArena::new(),
-    )
-}
-
-/// [`run_under_strategy`] drawing the simulator's buffers from a
-/// caller-owned [`SimArena`] — the label farm's inner loop, where one
-/// arena per worker makes every run after the first allocation-free.
-/// Reports are byte-identical to [`run_under_strategy`].
-pub fn run_under_strategy_with(
-    trace: &[IoRequest],
-    strategy: Strategy,
-    rw_chars: &[u8],
-    lpn_spaces: &[u64],
-    eval: &EvalConfig,
-    arena: &mut SimArena,
-) -> Result<SimReport, SimError> {
+) -> Result<TenantLayout, SimError> {
     assert_eq!(
         rw_chars.len(),
         lpn_spaces.len(),
@@ -113,9 +111,25 @@ pub fn run_under_strategy_with(
     for (t, (&space, &policy)) in lpn_spaces.iter().zip(policies.iter()).enumerate() {
         layout = layout.with_lpn_space(t, space).with_policy(t, policy);
     }
+    Ok(layout)
+}
+
+/// Runs `trace` on a device partitioned by `strategy` — one full run.
+///
+/// `rw_chars` are the tenants' observed characteristics (for two-part
+/// grouping and the hybrid allocator); `lpn_spaces` bound each tenant's
+/// logical footprint.
+pub fn run_under_strategy(
+    trace: &[IoRequest],
+    strategy: Strategy,
+    rw_chars: &[u8],
+    lpn_spaces: &[u64],
+    eval: &EvalConfig,
+) -> Result<SimReport, SimError> {
+    let layout = strategy_layout(strategy, rw_chars, lpn_spaces, eval)?;
     SimBuilder::new(eval.ssd.clone(), layout)
-        .build_with_arena(arena)?
-        .run_reclaim(trace, arena)
+        .build()?
+        .run(trace)
 }
 
 /// The tenants' read/write characteristics over the whole trace, exactly
@@ -125,58 +139,95 @@ fn observed_rw_chars(trace: &[IoRequest], tenants: usize) -> Vec<u8> {
     (0..tenants).map(|t| obs.rw_characteristic(t)).collect()
 }
 
-/// One strategy's row: runs it out of `arena`, scores the report, and
-/// hands the report's buffers back to the arena.
-fn evaluate_one(
-    trace: &[IoRequest],
-    strategy: Strategy,
-    rw_chars: &[u8],
-    lpn_spaces: &[u64],
-    eval: &EvalConfig,
-    arena: &mut SimArena,
-) -> Result<StrategyEval, SimError> {
-    let report = run_under_strategy_with(trace, strategy, rw_chars, lpn_spaces, eval, arena)?;
-    let row = StrategyEval {
-        strategy,
-        read_us: report.read.mean_us(),
-        write_us: report.write.mean_us(),
-        metric_us: report.total_latency_metric_us(),
-    };
-    arena.recycle_report(report);
-    Ok(row)
+/// Tenant bitmasks of `layout`'s channel components, in order of each
+/// component's lowest tenant: tenants whose channel sets intersect,
+/// joined transitively.
+fn channel_components(layout: &TenantLayout) -> Vec<u64> {
+    let n = layout.tenant_count();
+    let mut comp: Vec<usize> = (0..n).collect();
+    for a in 0..n {
+        for b in a + 1..n {
+            let (ca, cb) = (comp[a], comp[b]);
+            let shares_channel = layout
+                .tenant(a)
+                .channels
+                .channels()
+                .iter()
+                .any(|&ch| layout.tenant(b).channels.contains(ch as usize));
+            if ca != cb && shares_channel {
+                // Relabel b's whole component, not just b: joining is
+                // transitive.
+                for c in comp.iter_mut().filter(|c| **c == cb) {
+                    *c = ca;
+                }
+            }
+        }
+    }
+    let mut masks: Vec<(usize, u64)> = Vec::new();
+    for (t, &c) in comp.iter().enumerate() {
+        match masks.iter_mut().find(|(label, _)| *label == c) {
+            Some((_, mask)) => *mask |= 1 << t,
+            None => masks.push((c, 1 << t)),
+        }
+    }
+    masks.into_iter().map(|(_, mask)| mask).collect()
+}
+
+/// What makes two components simulate identically: the member tenants,
+/// and each member's channel list relative to the component's lowest
+/// channel.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ComponentKey {
+    tenants: u64,
+    channels: Vec<Vec<u16>>,
+}
+
+impl ComponentKey {
+    fn of(layout: &TenantLayout, tenants: u64) -> Self {
+        let members = || (0..layout.tenant_count()).filter(move |t| tenants >> t & 1 == 1);
+        let base = members()
+            .flat_map(|t| layout.tenant(t).channels.channels().iter().copied())
+            .min()
+            .unwrap_or(0);
+        let channels = members()
+            .map(|t| {
+                let list = layout.tenant(t).channels.channels();
+                list.iter().map(|&ch| ch - base).collect()
+            })
+            .collect();
+        Self { tenants, channels }
+    }
+}
+
+/// One distinct component to simulate.
+struct SubRun {
+    /// Index of the first strategy with this component; the sub-run uses
+    /// that strategy's layout.
+    strategy: usize,
+    /// Index into the sweep's per-tenant-set sub-traces.
+    trace: usize,
 }
 
 /// Evaluates every strategy in the `tenants`-tenant space on `trace`.
 ///
 /// The tenants' read/write characteristics are taken from the whole
 /// trace, exactly as the offline label generator would observe them.
+/// Same rows as [`evaluate_all_with`], with a fresh arena.
 pub fn evaluate_all(
     trace: &[IoRequest],
     tenants: usize,
     lpn_spaces: &[u64],
     eval: &EvalConfig,
 ) -> Result<Vec<StrategyEval>, SimError> {
-    let rw_chars = observed_rw_chars(trace, tenants);
-    let strategies = Strategy::all_for_tenants(tenants);
-
-    // One arena per pool worker: each worker recycles a single simulator
-    // allocation pool across every strategy it claims, so only its first
-    // run pays for buffer construction.
-    let results = parallel::par_map_init(
-        &eval.pool,
-        &strategies,
-        SimArena::new,
-        |arena, _, &strategy| evaluate_one(trace, strategy, &rw_chars, lpn_spaces, eval, arena),
-    );
-    results.into_iter().collect()
+    evaluate_all_with(trace, tenants, lpn_spaces, eval, &mut SimArena::new())
 }
 
-/// [`evaluate_all`] with the strategy sweep pinned to one caller-owned
-/// [`SimArena`]. Only meaningful for sequential pools (one worker): a
-/// parallel pool cannot share one arena, so this delegates to
-/// [`evaluate_all`]'s per-worker arenas when `eval.pool` has more. The
-/// label farm uses this from its outer fan-out — sample-level workers each
-/// own an arena and sweep strategies sequentially through it.
+/// [`evaluate_all`] by component composition (see the module docs): each
+/// distinct channel component runs once, on a caller-owned [`SimArena`]
+/// for a one-worker pool or on per-worker arenas otherwise, and every
+/// strategy's row is merged from its components' latency stats. Rows are
+/// bit-identical to one full [`run_under_strategy`] per strategy, at any
+/// worker count.
 pub fn evaluate_all_with(
     trace: &[IoRequest],
     tenants: usize,
@@ -184,14 +235,113 @@ pub fn evaluate_all_with(
     eval: &EvalConfig,
     arena: &mut SimArena,
 ) -> Result<Vec<StrategyEval>, SimError> {
-    if eval.pool.worker_count() > 1 {
-        return evaluate_all(trace, tenants, lpn_spaces, eval);
-    }
+    // Filtering by tenant set would silently drop requests of unknown
+    // tenants; a full run rejects them, and so does the sweep.
+    flash_sim::validate_trace(trace, tenants)?;
     let rw_chars = observed_rw_chars(trace, tenants);
-    Strategy::all_for_tenants(tenants)
+    let strategies = Strategy::all_for_tenants(tenants);
+    let layouts = strategies
+        .iter()
+        .map(|&s| strategy_layout(s, &rw_chars, lpn_spaces, eval))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Plan: every strategy's live components, deduplicated into sub-runs,
+    // and one sub-trace per tenant set.
+    let mut keys: HashMap<ComponentKey, Option<usize>> = HashMap::new();
+    let mut subruns: Vec<SubRun> = Vec::new();
+    let mut subtraces: Vec<(u64, Cow<[IoRequest]>)> = Vec::new();
+    let parts: Vec<Vec<usize>> = layouts
+        .iter()
+        .enumerate()
+        .map(|(s, layout)| {
+            channel_components(layout)
+                .into_iter()
+                .filter_map(|mask| {
+                    *keys
+                        .entry(ComponentKey::of(layout, mask))
+                        .or_insert_with(|| {
+                            let known = subtraces.iter().position(|(m, _)| *m == mask);
+                            let sub_trace = known.unwrap_or_else(|| {
+                                subtraces.push((mask, tenant_subtrace(trace, tenants, mask)));
+                                subtraces.len() - 1
+                            });
+                            // An idle component's latencies are empty: it
+                            // is never simulated.
+                            if subtraces[sub_trace].1.is_empty() {
+                                return None;
+                            }
+                            subruns.push(SubRun {
+                                strategy: s,
+                                trace: sub_trace,
+                            });
+                            Some(subruns.len() - 1)
+                        })
+                })
+                .collect()
+        })
+        .collect();
+
+    if obs::ENABLED {
+        let requests: usize = subruns.iter().map(|sub| subtraces[sub.trace].1.len()).sum();
+        obs::counter_add!("label.strategies", strategies.len() as u64);
+        obs::counter_add!("label.subruns", subruns.len() as u64);
+        obs::counter_add!("label.subrun_requests", requests as u64);
+    }
+    let simulate = |arena: &mut SimArena, sub: &SubRun| -> Result<[LatencyStats; 2], SimError> {
+        let report = SimBuilder::new(eval.ssd.clone(), layouts[sub.strategy].clone())
+            .build_with_arena(arena)?
+            .run_reclaim(&subtraces[sub.trace].1, arena)?;
+        let stats = [report.read.clone(), report.write.clone()];
+        arena.recycle_report(report);
+        Ok(stats)
+    };
+    let stats: Vec<[LatencyStats; 2]> = if eval.pool.worker_count() > 1 {
+        parallel::par_map_init(&eval.pool, &subruns, SimArena::new, |arena, _, sub| {
+            simulate(arena, sub)
+        })
         .into_iter()
-        .map(|strategy| evaluate_one(trace, strategy, &rw_chars, lpn_spaces, eval, arena))
-        .collect()
+        .collect::<Result<_, _>>()?
+    } else {
+        subruns
+            .iter()
+            .map(|sub| simulate(arena, sub))
+            .collect::<Result<_, _>>()?
+    };
+
+    Ok(strategies
+        .iter()
+        .zip(&parts)
+        .map(|(&strategy, parts)| {
+            let (mut read, mut write) = (LatencyStats::new(), LatencyStats::new());
+            for [r, w] in parts.iter().map(|&i| &stats[i]) {
+                read.merge(r);
+                write.merge(w);
+            }
+            // The same sum `SimReport::total_latency_metric_us` takes.
+            StrategyEval {
+                strategy,
+                read_us: read.mean_us(),
+                write_us: write.mean_us(),
+                metric_us: read.mean_us() + write.mean_us(),
+            }
+        })
+        .collect())
+}
+
+/// The requests of the tenants in `mask`, in trace order; the trace
+/// itself when `mask` holds every tenant.
+fn tenant_subtrace(trace: &[IoRequest], tenants: usize, mask: u64) -> Cow<'_, [IoRequest]> {
+    if mask.count_ones() as usize == tenants {
+        Cow::Borrowed(trace)
+    } else {
+        Cow::Owned(
+            trace
+                .iter()
+                .filter(|r| mask >> r.tenant & 1 == 1)
+                .copied()
+                .collect(),
+        )
+    }
 }
 
 /// The argmin-latency strategy (ties go to the earlier index, i.e. the
@@ -346,5 +496,65 @@ mod tests {
     fn mismatched_tenant_vectors_panic() {
         let trace = two_tenant_trace(1_000.0, 1_000.0, 10);
         let _ = run_under_strategy(&trace, Strategy::Shared, &[0, 1], &[64], &small_eval());
+    }
+
+    fn layout_of(lists: &[Vec<usize>]) -> TenantLayout {
+        TenantLayout::from_channel_lists(lists, &small_eval().ssd).unwrap()
+    }
+
+    #[test]
+    fn components_join_overlapping_channel_sets_transitively() {
+        // 0–2 and 1–2 overlap, 0–1 do not; 2 is joined to both in turn,
+        // so all three form one component. Tenant 3 stands alone.
+        let layout = layout_of(&[vec![0, 1], vec![2, 3], vec![1, 2], vec![5]]);
+        assert_eq!(channel_components(&layout), vec![0b0111, 0b1000]);
+        // The chain closes only through the last pair: 1–3 and 0–2
+        // overlap, then 2–3 joins the two halves.
+        let layout = layout_of(&[vec![0], vec![4], vec![0, 6], vec![4, 6]]);
+        assert_eq!(channel_components(&layout), vec![0b1111]);
+    }
+
+    #[test]
+    fn strategy_components_follow_the_channel_split() {
+        let eval = small_eval();
+        let comps = |s: Strategy, chars: &[u8]| {
+            let spaces = vec![1 << 10; chars.len()];
+            channel_components(&strategy_layout(s, chars, &spaces, &eval).unwrap())
+        };
+        assert_eq!(comps(Strategy::Shared, &[0, 1, 0, 1]), vec![0b1111]);
+        assert_eq!(
+            comps(Strategy::Isolated, &[0, 1, 0, 1]),
+            vec![0b0001, 0b0010, 0b0100, 0b1000]
+        );
+        // Write group {0, 2}, read group {1, 3}.
+        assert_eq!(
+            comps(Strategy::TwoPart { write_channels: 3 }, &[0, 1, 0, 1]),
+            vec![0b0101, 0b1010]
+        );
+        // Every tenant write-dominated: one group on three channels.
+        assert_eq!(
+            comps(Strategy::TwoPart { write_channels: 3 }, &[0, 0, 0, 0]),
+            vec![0b1111]
+        );
+    }
+
+    #[test]
+    fn component_keys_are_shift_invariant_but_keep_the_tenant_set() {
+        let a = layout_of(&[vec![0, 1], vec![2, 3, 4, 5, 6, 7]]);
+        let b = layout_of(&[vec![0, 1, 2, 3, 4, 5], vec![6, 7]]);
+        // Tenant 0 on two channels at 0–1 and tenant 1 on two at 6–7:
+        // same shifted lists, different tenants.
+        assert_ne!(ComponentKey::of(&a, 0b01), ComponentKey::of(&b, 0b10));
+        let c = layout_of(&[vec![4, 5], vec![0, 1, 2, 3]]);
+        assert_eq!(ComponentKey::of(&a, 0b01), ComponentKey::of(&c, 0b01));
+        assert_eq!(ComponentKey::of(&c, 0b01).channels, vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn unknown_tenants_are_rejected_not_filtered_away() {
+        let mut trace = two_tenant_trace(1_000.0, 1_000.0, 10);
+        trace[3].tenant = 2;
+        let err = evaluate_all(&trace, 2, &[64, 64], &small_eval()).unwrap_err();
+        assert!(matches!(err, SimError::UnknownTenant { .. }), "{err}");
     }
 }

@@ -426,7 +426,7 @@ impl Learner {
         self.label_workload_with(trace, &mut SimArena::new())
     }
 
-    /// [`Learner::label_workload`] drawing every strategy run's simulator
+    /// [`Learner::label_workload`] drawing every sub-run's simulator
     /// buffers from a caller-owned [`SimArena`] (sequential sweeps only;
     /// a parallel [`EvalConfig::pool`] uses per-worker arenas instead).
     /// Labels are byte-identical to [`Learner::label_workload`].
